@@ -28,6 +28,13 @@ const T_MEASURE: SimDuration = SimDuration(50_000_000); // 50 ms.
 /// RTT CDF in milliseconds.
 #[must_use]
 pub fn ping_mesh(variant: DatapathVariant, pings_per_pair: u32) -> Cdf {
+    Cdf::of_durations_ms(ping_mesh_rtts(variant, pings_per_pair))
+}
+
+/// The measured RTT samples of [`ping_mesh`], in host order (host 1
+/// first) and, per host, in the order the echoes returned.
+#[must_use]
+pub fn ping_mesh_rtts(variant: DatapathVariant, pings_per_pair: u32) -> Vec<SimDuration> {
     let g = generators::testbed();
     let n = g.topology.host_count() as u64;
     let model = DatapathModel::default();
@@ -81,7 +88,7 @@ pub fn ping_mesh(variant: DatapathVariant, pings_per_pair: u32) -> Cdf {
             }
         }
     }
-    Cdf::of_durations_ms(rtts)
+    rtts
 }
 
 /// Runs the Figure 10 reproduction.

@@ -26,6 +26,7 @@
 //!
 //! The `perf_hotpath` binary times the points and emits/merges the JSON.
 
+use std::hash::Hasher;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -36,7 +37,8 @@ use dumbnet_host::DatapathVariant;
 use dumbnet_sim::{Ctx, Engine, FlowId, FlowSim, LinkParams, Node, ShardedWorld, World};
 use dumbnet_switch::{DumbSwitch, DumbSwitchConfig};
 use dumbnet_topology::{generators, spath, Route, Topology};
-use dumbnet_types::{Bandwidth, HostId, MacAddr, Path, PortNo, SimTime, SwitchId};
+use dumbnet_types::fasthash::FxHasher64;
+use dumbnet_types::{Bandwidth, HostId, MacAddr, Path, PortNo, SimDuration, SimTime, SwitchId};
 use dumbnet_workload::FlowMap;
 
 use crate::fig08;
@@ -142,7 +144,7 @@ fn forward_storm_on<E: Engine>(w: &mut E, packets: u64) -> (Option<u64>, u64) {
             i,
             900,
         );
-        let at = SimTime::ZERO + dumbnet_types::SimDuration::from_micros(i);
+        let at = SimTime::ZERO + SimDuration::from_micros(i);
         w.inject(at, switches[0], p(1), pkt);
     }
     w.run_to_idle(u64::MAX);
@@ -298,6 +300,18 @@ fn flowsim_churn(plan: &ChurnPlan, force_full: bool) -> (Option<u64>, u64) {
     )
 }
 
+/// Digest of the ping mesh's RTT samples, in collection order: moves
+/// when the path service hands any pair a different path (and so a
+/// different queueing history), not only when the sample count changes.
+fn rtt_digest(rtts: &[SimDuration]) -> u64 {
+    let mut h = FxHasher64::default();
+    h.write_u64(rtts.len() as u64);
+    for rtt in rtts {
+        h.write_u64(rtt.nanos());
+    }
+    h.finish()
+}
+
 /// Runs every hot-path scenario. `quick` trims the discovery point to
 /// fat-tree k=8 and shrinks the storm so CI can smoke-run it.
 #[must_use]
@@ -352,8 +366,8 @@ pub fn run(quick: bool) -> Vec<PerfPoint> {
     }));
 
     points.push(time("fig10_path_service", || {
-        let cdf = fig10::ping_mesh(DatapathVariant::DumbNet, 2);
-        (None, cdf.len() as u64)
+        let rtts = fig10::ping_mesh_rtts(DatapathVariant::DumbNet, 2);
+        (None, rtt_digest(&rtts))
     }));
 
     points.push(time("fig11c_chaos_p05", || {
@@ -596,8 +610,8 @@ mod tests {
         );
         assert_eq!(
             get("fig10_path_service").checksum,
-            1_300,
-            "ping-mesh sample count changed"
+            8_662_358_966_256_191_469,
+            "ping-mesh RTT samples changed"
         );
         assert_eq!(
             get("fig11c_chaos_p05").checksum,

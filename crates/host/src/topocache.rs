@@ -24,8 +24,9 @@ pub struct TopoCache {
     down: HashSet<(SwitchId, SwitchId)>,
     /// Latest topology version seen from the controller.
     pub topo_version: u64,
-    /// Memoized [`TopoCache::k_paths`] results, valid for the current
-    /// `(graphs, down)` state; cleared on integrate/mark_down/mark_up.
+    /// Memoized [`TopoCache::k_paths`] results. `k_paths(d)` reads only
+    /// `graphs[d]` and `down`: integrating `d`'s graph drops `d`'s
+    /// entries, and an edge-state change drops them all.
     k_memo: HashMap<(MacAddr, usize), (Vec<CachedPath>, Option<CachedPath>)>,
 }
 
@@ -45,7 +46,7 @@ impl TopoCache {
         // down-markings it already accounts for (edges absent from it
         // stay marked for other cached graphs).
         self.graphs.insert(dst, graph);
-        self.k_memo.clear();
+        self.k_memo.retain(|&(d, _), _| d != dst);
     }
 
     /// Whether the cache knows the location of `dst`.
@@ -263,6 +264,29 @@ mod tests {
         tc.integrate(d2, pg2, 2);
         assert_eq!(tc.cached_switches(), total);
         assert_eq!(tc.len(), 2);
+    }
+
+    #[test]
+    fn integrate_keeps_other_destinations_memo() {
+        let (pg1, d1) = testbed_graph(0, 26);
+        let (pg2, d2) = testbed_graph(0, 20);
+        let mut tc = TopoCache::new();
+        tc.integrate(d1, pg1.clone(), 1);
+        let first = tc.k_paths(d1, 4).unwrap();
+        tc.integrate(d2, pg2, 2);
+        let _ = tc.k_paths(d2, 4).unwrap();
+        assert!(tc.k_memo.contains_key(&(d1, 4)), "d1's memo survived d2");
+        // The surviving entry equals a recomputation from scratch.
+        let mut fresh = TopoCache::new();
+        fresh.integrate(d1, pg1, 1);
+        let recomputed = fresh.k_paths(d1, 4).unwrap();
+        assert_eq!(tc.k_paths(d1, 4).unwrap(), recomputed);
+        assert_eq!(first, recomputed);
+        // Re-integrating d2 drops only d2's entries.
+        let (pg2b, _) = testbed_graph(1, 20);
+        tc.integrate(d2, pg2b, 3);
+        assert!(tc.k_memo.contains_key(&(d1, 4)));
+        assert!(!tc.k_memo.contains_key(&(d2, 4)));
     }
 
     #[test]

@@ -29,6 +29,10 @@ pub struct SwitchInfo {
     pub ports: u8,
     /// `wiring[p.index()]` describes what port `p` connects to.
     wiring: Vec<Option<Attachment>>,
+    /// The trunk ports of `wiring` as `(port, far switch, link)`, in
+    /// ascending port order: the routing view's adjacency, so traversals
+    /// skip host ports and never re-derive a link's far end.
+    trunks: Vec<(PortNo, SwitchId, LinkId)>,
 }
 
 impl SwitchInfo {
@@ -144,6 +148,7 @@ impl Topology {
             id,
             ports,
             wiring: vec![None; usize::from(ports)],
+            trunks: Vec::new(),
         });
         id
     }
@@ -244,8 +249,12 @@ impl Topology {
         }
         let id = LinkId::new(self.links.len() as u32);
         self.links.push(Link { id, a, b, up: true });
-        *self.port_slot_mut(a.switch, a.port)? = Some(Attachment::Link(id));
-        *self.port_slot_mut(b.switch, b.port)? = Some(Attachment::Link(id));
+        for (near, far) in [(a, b), (b, a)] {
+            *self.port_slot_mut(near.switch, near.port)? = Some(Attachment::Link(id));
+            let trunks = &mut self.switches[near.switch.get() as usize].trunks;
+            let at = trunks.partition_point(|&(p, _, _)| p < near.port);
+            trunks.insert(at, (near.port, far.switch, id));
+        }
         Ok(id)
     }
 
@@ -379,26 +388,16 @@ impl Topology {
             .and_then(|s| s.attachment(port.port))
     }
 
-    /// Up-link neighbors of a switch: `(out_port, neighbor, link)`.
+    /// Up-link neighbors of a switch: `(out_port, neighbor, link)`, in
+    /// ascending port order.
     ///
     /// Down links are skipped — this is the routing view.
     pub fn neighbors(&self, sw: SwitchId) -> impl Iterator<Item = (PortNo, SwitchId, LinkId)> + '_ {
         self.switches
             .get(sw.get() as usize)
             .into_iter()
-            .flat_map(move |info| {
-                info.wired_ports().filter_map(move |(port, att)| match att {
-                    Attachment::Link(lid) => {
-                        let link = self.links.get(lid.index())?;
-                        if !link.up {
-                            return None;
-                        }
-                        let (_, remote) = link.from_switch(sw)?;
-                        Some((port, remote.switch, lid))
-                    }
-                    Attachment::Host(_) => None,
-                })
-            })
+            .flat_map(|info| info.trunks.iter().copied())
+            .filter(|&(_, _, lid)| self.links[lid.index()].up)
     }
 
     /// Hosts attached to a switch: `(port, host)`.

@@ -8,16 +8,21 @@
 //! to the controller when the subgraph no longer connects the endpoints.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap, HashSet};
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use dumbnet_types::{DumbNetError, HostId, MacAddr, Path, PortId, PortNo, Result, SwitchId};
+use dumbnet_types::{
+    DumbNetError, FastHashSet, HostId, MacAddr, Path, PortId, PortNo, Result, SwitchId,
+};
 
 use crate::graph::Topology;
 use crate::route::Route;
 use crate::spath;
+
+#[cfg(test)]
+mod reference;
 
 /// Tunables for path-graph construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -120,63 +125,64 @@ pub fn build<R: Rng>(
 
     // (2) Backup path: re-run with primary links inflated so they are
     // reused only when unavoidable.
-    let primary_links: HashSet<(SwitchId, SwitchId)> = primary
-        .switches()
-        .windows(2)
-        .flat_map(|w| [(w[0], w[1]), (w[1], w[0])])
-        .collect();
+    let p = primary.switches();
+    let on_primary = |(a, b): (SwitchId, SwitchId)| {
+        p.windows(2)
+            .any(|w| (w[0] == a && w[1] == b) || (w[0] == b && w[1] == a))
+    };
     let penalty = topo.switch_count() as u64 + 2;
     let backup = spath::shortest_route_weighted(
         topo,
         s_src,
         s_dst,
-        |e| {
-            if primary_links.contains(&e) {
-                penalty
-            } else {
-                1
-            }
-        },
+        |e| if on_primary(e) { penalty } else { 1 },
         rng,
     )
     // A backup identical to the primary adds nothing; drop it.
-    .filter(|b| b.switches() != primary.switches());
+    .filter(|b| b.switches() != p);
 
     // (3) Local detours, Algorithm 1. For each window (a, b) of up to s
     // consecutive hops along the primary, admit every switch x with
-    // dist(a, x) + dist(x, b) ≤ s + ε.
-    let p = primary.switches();
+    // dist(a, x) + dist(x, b) ≤ s + ε. Overlapping windows share
+    // endpoints, so each primary position's distance map is computed
+    // at most once.
     let l = p.len() - 1; // Number of hops.
     let s_win = params.s.max(1);
-    let mut detour: BTreeSet<SwitchId> = p.iter().copied().collect();
-    let step = (s_win / 2).max(1);
-    let mut i = 0usize;
-    while i < l {
-        let a = p[i];
-        let b = p[(i + s_win).min(l)];
-        let window_len = (i + s_win).min(l) - i;
-        let da = spath::distances(topo, a);
-        let db = spath::distances(topo, b);
-        let budget = window_len as u64 + params.epsilon;
-        for (x, dax) in da.reachable() {
-            if let Some(dxb) = db.dist(x) {
-                if dax + dxb <= budget {
-                    detour.insert(x);
-                }
+    let mut in_graph = vec![false; topo.switch_count()];
+    for &sw in p {
+        in_graph[sw.get() as usize] = true;
+    }
+    let mut maps: Vec<Option<spath::DistanceMap>> = vec![None; p.len()];
+    for i in (0..l).step_by((s_win / 2).max(1)) {
+        let j = (i + s_win).min(l);
+        for ix in [i, j] {
+            maps[ix].get_or_insert_with(|| spath::distances(topo, p[ix]));
+        }
+        let (Some(da), Some(db)) = (&maps[i], &maps[j]) else {
+            unreachable!("both window maps computed above");
+        };
+        let budget = (j - i) as u64 + params.epsilon;
+        for ((x, &dax), &dxb) in in_graph.iter_mut().zip(da.as_slice()).zip(db.as_slice()) {
+            if dax != u64::MAX && dxb != u64::MAX && dax + dxb <= budget {
+                *x = true;
             }
         }
-        i += step;
     }
     if let Some(b) = &backup {
-        detour.extend(b.switches().iter().copied());
+        for &sw in b.switches() {
+            in_graph[sw.get() as usize] = true;
+        }
     }
 
-    // (4) Materialize the induced subgraph with port detail.
+    // (4) Materialize the induced subgraph with port detail. Switches go
+    // in ascending ID order and their trunks in ascending port order;
+    // each link is emitted at its lower (switch, port) end, which is
+    // where that walk first meets it.
     let mut edges = Vec::new();
-    let mut seen: BTreeSet<(PortId, PortId)> = BTreeSet::new();
-    for &sw in &detour {
+    for (ix, _) in in_graph.iter().enumerate().filter(|&(_, &inside)| inside) {
+        let sw = SwitchId::new(ix as u64);
         for (port, nb, lid) in topo.neighbors(sw) {
-            if !detour.contains(&nb) {
+            if !in_graph[nb.get() as usize] {
                 continue;
             }
             let link = topo.link(lid)?;
@@ -185,12 +191,15 @@ pub fn build<R: Rng>(
             } else {
                 (link.b, link.a)
             };
-            if seen.insert((a, b)) {
+            if a == PortId::new(sw, port) {
                 edges.push(SubEdge { a, b });
             }
-            let _ = port;
         }
     }
+    let switches = (0..in_graph.len())
+        .filter(|&ix| in_graph[ix])
+        .map(|ix| SwitchId::new(ix as u64))
+        .collect();
 
     Ok(PathGraph {
         src: Endpoint {
@@ -205,7 +214,7 @@ pub fn build<R: Rng>(
         },
         primary,
         backup,
-        switches: detour,
+        switches,
         edges,
     })
 }
@@ -223,28 +232,6 @@ impl PathGraph {
         self.edges.len()
     }
 
-    /// Adjacency restricted to the subgraph, excluding `down` edges
-    /// (normalized switch pairs).
-    #[must_use]
-    pub fn adjacency(
-        &self,
-        down: &HashSet<(SwitchId, SwitchId)>,
-    ) -> BTreeMap<SwitchId, Vec<(PortNo, SwitchId)>> {
-        let mut adj: BTreeMap<SwitchId, Vec<(PortNo, SwitchId)>> = BTreeMap::new();
-        for e in &self.edges {
-            if down.contains(&e.key()) {
-                continue;
-            }
-            adj.entry(e.a.switch)
-                .or_default()
-                .push((e.a.port, e.b.switch));
-            adj.entry(e.b.switch)
-                .or_default()
-                .push((e.b.port, e.a.switch));
-        }
-        adj
-    }
-
     /// Shortest route from the source's switch to the destination's
     /// switch *within the subgraph*, avoiding `down` edges.
     ///
@@ -252,44 +239,10 @@ impl PathGraph {
     /// controller, when a primary link dies.
     #[must_use]
     pub fn shortest_within(&self, down: &HashSet<(SwitchId, SwitchId)>) -> Option<Route> {
-        let adj = self.adjacency(down);
-        let src = self.src.attach.switch;
-        let dst = self.dst.attach.switch;
-        if src == dst {
-            return Route::new(vec![src]).ok();
-        }
-        let mut dist: BTreeMap<SwitchId, u64> = BTreeMap::new();
-        let mut prev: BTreeMap<SwitchId, SwitchId> = BTreeMap::new();
-        let mut heap = BinaryHeap::new();
-        dist.insert(src, 0);
-        heap.push(Reverse((0u64, src)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > *dist.get(&u).unwrap_or(&u64::MAX) {
-                continue;
-            }
-            if u == dst {
-                break;
-            }
-            if let Some(nexts) = adj.get(&u) {
-                for &(_, v) in nexts {
-                    let nd = d + 1;
-                    if nd < *dist.get(&v).unwrap_or(&u64::MAX) {
-                        dist.insert(v, nd);
-                        prev.insert(v, u);
-                        heap.push(Reverse((nd, v)));
-                    }
-                }
-            }
-        }
-        dist.get(&dst)?;
-        let mut route = vec![dst];
-        let mut cur = dst;
-        while let Some(&p) = prev.get(&cur) {
-            route.push(p);
-            cur = p;
-        }
-        route.reverse();
-        Route::new(route).ok()
+        let g = DenseGraph::new(self, down);
+        let mut search = Search::new(&g);
+        let route = search.run(&g, g.src, g.dst)?;
+        Some(g.route(&route))
     }
 
     /// Up to `k` shortest loopless routes within the subgraph, avoiding
@@ -299,70 +252,47 @@ impl PathGraph {
         if k == 0 {
             return Vec::new();
         }
-        let mut results: Vec<Route> = Vec::new();
-        let Some(first) = self.shortest_within(down) else {
-            return results;
+        let g = DenseGraph::new(self, down);
+        let mut search = Search::new(&g);
+        let Some(first) = search.run(&g, g.src, g.dst) else {
+            return Vec::new();
         };
-        results.push(first);
-        let mut candidates: BinaryHeap<Reverse<(usize, Vec<SwitchId>)>> = BinaryHeap::new();
-        let mut seen: HashSet<Vec<SwitchId>> =
-            results.iter().map(|r| r.switches().to_vec()).collect();
+        // Routes are index vectors until the end: indices order like the
+        // switch IDs they stand for, so the candidate heap pops in the
+        // same (length, lexicographic) order either way.
+        let mut results: Vec<Vec<u32>> = vec![first];
+        let mut candidates: BinaryHeap<Reverse<(usize, Vec<u32>)>> = BinaryHeap::new();
+        let mut seen: FastHashSet<Vec<u32>> = results.iter().cloned().collect();
         while results.len() < k {
-            let last = results.last().expect("non-empty").switches().to_vec();
+            let last = results.last().expect("non-empty").clone();
             for spur_ix in 0..last.len().saturating_sub(1) {
                 let root = &last[..=spur_ix];
                 // Ban edges used by already-found routes sharing this root,
                 // and nodes of the root prefix, then reroute.
-                let mut banned: HashSet<(SwitchId, SwitchId)> = down.clone();
-                for r in results
-                    .iter()
-                    .map(Route::switches)
-                    .chain(candidates.iter().map(|c| c.0 .1.as_slice()))
-                {
+                search.reset_bans();
+                for r in results.iter().chain(candidates.iter().map(|c| &c.0 .1)) {
                     if r.len() > spur_ix && r[..=spur_ix] == *root {
-                        let (a, b) = (r[spur_ix], r[spur_ix + 1]);
-                        let key = if a <= b { (a, b) } else { (b, a) };
-                        banned.insert(key);
+                        search.ban_pair(&g, r[spur_ix], r[spur_ix + 1]);
                     }
                 }
-                let root_nodes: HashSet<SwitchId> = root[..spur_ix].iter().copied().collect();
-                let sub = PathGraph {
-                    src: Endpoint {
-                        attach: PortId::new(root[spur_ix], self.src.attach.port),
-                        ..self.src
-                    },
-                    ..self.clone()
-                };
-                // Reuse shortest_within from the spur node by shadowing the
-                // source attach switch; filter root nodes via `banned` edges
-                // touching them.
-                let mut banned2 = banned;
-                for e in &self.edges {
-                    let (x, y) = e.key();
-                    if root_nodes.contains(&x) || root_nodes.contains(&y) {
-                        banned2.insert((x, y));
-                    }
+                for &node in &root[..spur_ix] {
+                    search.ban_node(node);
                 }
-                if let Some(spur) = sub.shortest_within(&banned2) {
+                // The spur avoids every root node, so `total` is loop-free.
+                if let Some(spur) = search.run(&g, root[spur_ix], g.dst) {
                     let mut total = root[..spur_ix].to_vec();
-                    total.extend(spur.switches());
-                    if total.windows(2).all(|w| w[0] != w[1]) && seen.insert(total.clone()) {
+                    total.extend(spur);
+                    if seen.insert(total.clone()) {
                         candidates.push(Reverse((total.len(), total)));
                     }
                 }
             }
             match candidates.pop() {
-                Some(Reverse((_, next))) => {
-                    if let Ok(r) = Route::new(next) {
-                        if r.is_simple() {
-                            results.push(r);
-                        }
-                    }
-                }
+                Some(Reverse((_, next))) => results.push(next),
                 None => break,
             }
         }
-        results
+        results.iter().map(|r| g.route(r)).collect()
     }
 
     /// Converts a switch-level route from this graph into the tag path a
@@ -456,6 +386,183 @@ impl PathGraph {
     }
 }
 
+/// A path graph on dense indices, built once per host-side query.
+///
+/// Nodes are sorted by [`SwitchId`], so index order is ID order. The CSR
+/// adjacency keeps `edges` order and leaves `down` edges out. Each entry
+/// carries the id of its normalized switch pair: parallel links share
+/// one id, so banning a pair bans all of them, as a ban keyed by switch
+/// pair does.
+struct DenseGraph {
+    nodes: Vec<SwitchId>,
+    /// `adj[offsets[u]..offsets[u + 1]]` are node `u`'s entries.
+    offsets: Vec<usize>,
+    /// `(neighbor, pair id)`.
+    adj: Vec<(u32, u32)>,
+    pairs: usize,
+    src: u32,
+    dst: u32,
+}
+
+impl DenseGraph {
+    fn new(g: &PathGraph, down: &HashSet<(SwitchId, SwitchId)>) -> DenseGraph {
+        let (src, dst) = (g.src.attach.switch, g.dst.attach.switch);
+        let mut nodes: Vec<SwitchId> = g.switches.iter().copied().collect();
+        // A graph from `build` lists every endpoint in `switches`; one
+        // assembled by hand need not.
+        let extra: Vec<SwitchId> = [src, dst]
+            .into_iter()
+            .chain(g.edges.iter().flat_map(|e| [e.a.switch, e.b.switch]))
+            .filter(|s| nodes.binary_search(s).is_err())
+            .collect();
+        if !extra.is_empty() {
+            nodes.extend(extra);
+            nodes.sort_unstable();
+            nodes.dedup();
+        }
+        let index = |s: SwitchId| nodes.binary_search(&s).expect("every endpoint indexed") as u32;
+        let live: Vec<(usize, usize)> = g
+            .edges
+            .iter()
+            .filter(|e| down.is_empty() || !down.contains(&e.key()))
+            .map(|e| (index(e.a.switch) as usize, index(e.b.switch) as usize))
+            .collect();
+        let n = nodes.len();
+        let mut offsets = vec![0usize; n + 1];
+        for &(a, b) in &live {
+            offsets[a + 1] += 1;
+            offsets[b + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut fill = offsets.clone();
+        let mut adj = vec![(0u32, 0u32); offsets[n]];
+        let mut pairs = 0u32;
+        for &(a, b) in &live {
+            // An earlier parallel link already left `(b, pair)` in a's list.
+            let pair = match adj[offsets[a]..fill[a]]
+                .iter()
+                .find(|&&(v, _)| v as usize == b)
+            {
+                Some(&(_, pair)) => pair,
+                None => {
+                    pairs += 1;
+                    pairs - 1
+                }
+            };
+            adj[fill[a]] = (b as u32, pair);
+            fill[a] += 1;
+            adj[fill[b]] = (a as u32, pair);
+            fill[b] += 1;
+        }
+        DenseGraph {
+            src: index(src),
+            dst: index(dst),
+            nodes,
+            offsets,
+            adj,
+            pairs: pairs as usize,
+        }
+    }
+
+    fn neighbors(&self, u: u32) -> &[(u32, u32)] {
+        &self.adj[self.offsets[u as usize]..self.offsets[u as usize + 1]]
+    }
+
+    fn route(&self, route: &[u32]) -> Route {
+        Route::new(route.iter().map(|&i| self.nodes[i as usize]).collect())
+            .expect("searches never repeat a switch")
+    }
+}
+
+/// Scratch state for hop-count searches over one [`DenseGraph`], with
+/// the pair and node bans of Yen's spur searches.
+struct Search {
+    dist: Vec<u32>,
+    prev: Vec<u32>,
+    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    banned_pairs: Vec<bool>,
+    banned_nodes: Vec<bool>,
+}
+
+impl Search {
+    fn new(g: &DenseGraph) -> Search {
+        let n = g.nodes.len();
+        Search {
+            dist: vec![u32::MAX; n],
+            prev: vec![u32::MAX; n],
+            heap: BinaryHeap::new(),
+            banned_pairs: vec![false; g.pairs],
+            banned_nodes: vec![false; n],
+        }
+    }
+
+    fn reset_bans(&mut self) {
+        self.banned_pairs.fill(false);
+        self.banned_nodes.fill(false);
+    }
+
+    /// Bans every live link between `u` and `v`.
+    fn ban_pair(&mut self, g: &DenseGraph, u: u32, v: u32) {
+        if let Some(&(_, pair)) = g.neighbors(u).iter().find(|&&(w, _)| w == v) {
+            self.banned_pairs[pair as usize] = true;
+        }
+    }
+
+    /// Bans every link touching `u`.
+    fn ban_node(&mut self, u: u32) {
+        self.banned_nodes[u as usize] = true;
+    }
+
+    /// Shortest hop-count route from `src` to `dst` over unbanned links.
+    ///
+    /// Dijkstra popping `(dist, index)` and relaxing with strict `<`:
+    /// index order is switch-ID order, so this pops and breaks ties
+    /// exactly as a search keyed by `(dist, SwitchId)` does.
+    fn run(&mut self, g: &DenseGraph, src: u32, dst: u32) -> Option<Vec<u32>> {
+        if src == dst {
+            return Some(vec![src]);
+        }
+        self.dist.fill(u32::MAX);
+        self.heap.clear();
+        self.dist[src as usize] = 0;
+        self.heap.push(Reverse((0, src)));
+        while let Some(Reverse((d, u))) = self.heap.pop() {
+            if d > self.dist[u as usize] {
+                continue;
+            }
+            if u == dst {
+                break;
+            }
+            if self.banned_nodes[u as usize] {
+                continue;
+            }
+            for &(v, pair) in g.neighbors(u) {
+                if self.banned_pairs[pair as usize] || self.banned_nodes[v as usize] {
+                    continue;
+                }
+                if d + 1 < self.dist[v as usize] {
+                    self.dist[v as usize] = d + 1;
+                    self.prev[v as usize] = u;
+                    self.heap.push(Reverse((d + 1, v)));
+                }
+            }
+        }
+        if self.dist[dst as usize] == u32::MAX {
+            return None;
+        }
+        let mut route = vec![dst];
+        let mut cur = dst;
+        while cur != src {
+            cur = self.prev[cur as usize];
+            route.push(cur);
+        }
+        route.reverse();
+        Some(route)
+    }
+}
+
 /// A reusable, allocation-free find-path engine over one cached path
 /// graph (see [`PathGraph::router`]).
 #[derive(Debug, Clone)]
@@ -525,7 +632,7 @@ mod tests {
     use super::*;
     use crate::generators;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn params(s: usize, epsilon: u64) -> PathGraphParams {
         PathGraphParams { k: 4, s, epsilon }
@@ -680,6 +787,159 @@ mod tests {
         assert!(b.is_valid_in(&g.topology));
         // Reusable: a second query still works.
         assert!(router.shortest(&none).is_some());
+    }
+
+    /// Two parallel links between one switch pair, a loopback cable,
+    /// trunks wired out of port order, and a host on every switch.
+    fn parallel_links() -> Topology {
+        let mut t = Topology::new();
+        let s: Vec<SwitchId> = (0..6).map(|_| t.add_switch(10)).collect();
+        for (a, pa, b, pb) in [
+            (0, 5, 1, 2),
+            (0, 1, 1, 6),
+            (1, 4, 2, 1),
+            (2, 3, 3, 7),
+            (3, 2, 0, 3),
+            (1, 1, 4, 4),
+            (4, 2, 3, 5),
+            (2, 6, 2, 8),
+            (5, 3, 4, 1),
+            (5, 1, 2, 2),
+        ] {
+            t.connect(s[a], pa, s[b], pb).unwrap();
+        }
+        for &sw in &s {
+            t.add_host_auto(sw).unwrap();
+        }
+        t
+    }
+
+    fn fixtures() -> Vec<(&'static str, Topology)> {
+        let mut rng = StdRng::seed_from_u64(0xF17);
+        vec![
+            ("fat_tree_4", generators::fat_tree(4, 2, None).topology),
+            ("fat_tree_8", generators::fat_tree(8, 1, None).topology),
+            ("testbed", generators::testbed().topology),
+            ("cube", generators::cube(&[3, 3, 3], 1, 8).topology),
+            (
+                "random_regular",
+                generators::random_regular(24, 4, 1, 8, &mut rng).topology,
+            ),
+            ("parallel_links", parallel_links()),
+        ]
+    }
+
+    /// `topo` with each link taken down with probability `p`.
+    fn with_links_down(topo: &Topology, p: f64, rng: &mut StdRng) -> Topology {
+        let mut t = topo.clone();
+        let ids: Vec<_> = t.links().map(|l| l.id).collect();
+        for id in ids {
+            if rng.gen_bool(p) {
+                t.set_link_state(id, false).unwrap();
+            }
+        }
+        t
+    }
+
+    /// Up to `max` of the graph's edges, as normalized switch pairs.
+    fn random_down(pg: &PathGraph, max: usize, rng: &mut StdRng) -> HashSet<(SwitchId, SwitchId)> {
+        if pg.edges.is_empty() {
+            return HashSet::new();
+        }
+        (0..rng.gen_range(0..=max))
+            .map(|_| pg.edges[rng.gen_range(0..pg.edges.len())].key())
+            .collect()
+    }
+
+    #[test]
+    fn neighbors_and_distances_match_reference() {
+        let mut rng = StdRng::seed_from_u64(41);
+        for (name, topo) in fixtures() {
+            let t = with_links_down(&topo, 0.1, &mut rng);
+            for info in t.switches() {
+                let got: Vec<_> = t.neighbors(info.id).collect();
+                assert_eq!(got, reference::neighbors(&t, info.id), "{name} {}", info.id);
+                let bfs = spath::distances(&t, info.id);
+                let dijkstra = reference::distances_weighted(&t, info.id, |_| 1);
+                assert_eq!(bfs.as_slice(), &dijkstra[..], "{name} {}", info.id);
+            }
+            for _ in 0..50 {
+                let n = t.switch_count() as u64;
+                let (a, b) = (SwitchId(rng.gen_range(0..n)), SwitchId(rng.gen_range(0..n)));
+                let mut r1 = StdRng::seed_from_u64(rng.gen());
+                let mut r2 = r1.clone();
+                let got = spath::shortest_route(&t, a, b, &mut r1);
+                let want = reference::shortest_route_weighted(&t, a, b, |_| 1, &mut r2);
+                assert_eq!(got, want, "{name} {a}->{b}");
+                assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "{name}: RNG draws differ");
+            }
+        }
+    }
+
+    #[test]
+    fn dense_path_service_matches_reference() {
+        let mut rng = StdRng::seed_from_u64(43);
+        for (name, topo) in fixtures() {
+            let hosts = topo.host_count() as u64;
+            for round in 0..40 {
+                // Every other round runs on a fabric with links down.
+                let t = if round % 2 == 0 {
+                    topo.clone()
+                } else {
+                    with_links_down(&topo, 0.15, &mut rng)
+                };
+                let (a, b) = (
+                    HostId(rng.gen_range(0..hosts)),
+                    HostId(rng.gen_range(0..hosts)),
+                );
+                let prm = params(rng.gen_range(1..=3), rng.gen_range(0..=2));
+                let mut r1 = StdRng::seed_from_u64(rng.gen());
+                let mut r2 = r1.clone();
+                let got = build(&t, a, b, &prm, &mut r1);
+                let want = reference::build(&t, a, b, &prm, &mut r2);
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{name} {a}->{b}");
+                assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "{name}: RNG draws differ");
+                let Ok(pg) = got else { continue };
+                for _ in 0..3 {
+                    let down = random_down(&pg, 3, &mut rng);
+                    assert_eq!(
+                        pg.shortest_within(&down),
+                        reference::shortest_within(&pg, &down),
+                        "{name} {a}->{b} down {down:?}"
+                    );
+                    for k in [0, 1, 4, 9] {
+                        assert_eq!(
+                            pg.k_shortest_within(k, &down),
+                            reference::k_shortest_within(&pg, k, &down),
+                            "{name} {a}->{b} k={k} down {down:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_search_handles_hand_made_graphs() {
+        // A graph whose `switches` omits edge endpoints and whose edge
+        // list repeats a switch pair: the dense index must still cover
+        // every endpoint and ban parallel links together.
+        let g = generators::testbed();
+        let mut rng = StdRng::seed_from_u64(47);
+        let mut pg = build(&g.topology, HostId(0), HostId(26), &params(2, 2), &mut rng).unwrap();
+        let e = pg.edges[0];
+        pg.edges.push(e);
+        pg.switches.clear();
+        for down in [HashSet::new(), [e.key()].into_iter().collect()] {
+            assert_eq!(
+                pg.shortest_within(&down),
+                reference::shortest_within(&pg, &down)
+            );
+            assert_eq!(
+                pg.k_shortest_within(6, &down),
+                reference::k_shortest_within(&pg, 6, &down)
+            );
+        }
     }
 
     #[test]

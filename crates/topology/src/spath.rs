@@ -49,19 +49,45 @@ impl DistanceMap {
             .filter(|&(_, &d)| d != u64::MAX)
             .map(|(ix, &d)| (SwitchId::new(ix as u64), d))
     }
+
+    /// Distances indexed by switch, `u64::MAX` for unreachable.
+    pub(crate) fn as_slice(&self) -> &[u64] {
+        &self.dist
+    }
 }
 
-/// Computes hop distances from `source` to every switch over up links.
+/// Computes hop distances from `source` to every switch over up links,
+/// breadth-first.
 #[must_use]
 pub fn distances(topo: &Topology, source: SwitchId) -> DistanceMap {
-    distances_weighted(topo, source, |_| 1)
+    let n = topo.switch_count();
+    let mut dist = vec![u64::MAX; n];
+    if (source.get() as usize) < n {
+        dist[source.get() as usize] = 0;
+        // Each switch enters the queue once, so a Vec read from the front
+        // is the FIFO.
+        let mut queue = Vec::with_capacity(n);
+        queue.push(source);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let next = dist[u.get() as usize] + 1;
+            for (_, v, _) in topo.neighbors(u) {
+                let dv = &mut dist[v.get() as usize];
+                if *dv == u64::MAX {
+                    *dv = next;
+                    queue.push(v);
+                }
+            }
+        }
+    }
+    DistanceMap { source, dist }
 }
 
-/// Computes weighted distances from `source` with a per-link cost
-/// function (`cost(link_id_index)` not exposed; cost takes endpoint pair).
+/// Computes weighted distances from `source` (Dijkstra).
 ///
-/// Costs are per *edge traversal*; the function receives the edge's
-/// `(from, to)` switch pair so asymmetric costs are possible.
+/// Costs are per *edge traversal*: `cost` receives the edge's
+/// `(from, to)` switch pair, so asymmetric costs are possible.
 #[must_use]
 pub fn distances_weighted<F>(topo: &Topology, source: SwitchId, cost: F) -> DistanceMap
 where
@@ -102,7 +128,9 @@ pub fn shortest_route<R: Rng>(
     dst: SwitchId,
     rng: &mut R,
 ) -> Option<Route> {
-    shortest_route_weighted(topo, src, dst, |_| 1, rng)
+    // Unit costs: the BFS map equals the Dijkstra one, so the descent
+    // (and its RNG draws) are those of the weighted variant.
+    descend(topo, src, dst, &distances(topo, dst), |_| 1, rng)
 }
 
 /// Weighted variant of [`shortest_route`].
@@ -122,6 +150,28 @@ where
     F: Fn((SwitchId, SwitchId)) -> u64,
     R: Rng,
 {
+    // Run Dijkstra from dst so dist[] measures distance *to* dst; then
+    // walk forward from src choosing random minimizing next hops. This
+    // randomizes uniformly over next-hop choices at every node.
+    let dist = distances_weighted(topo, dst, |(a, b)| cost((b, a)));
+    descend(topo, src, dst, &dist, cost, rng)
+}
+
+/// The randomized walk of [`shortest_route_weighted`]: from `src`, step
+/// to a uniformly drawn next switch among those minimizing
+/// `cost + dist-to-dst`, where `dist` holds distances *to* `dst`.
+fn descend<F, R>(
+    topo: &Topology,
+    src: SwitchId,
+    dst: SwitchId,
+    dist: &DistanceMap,
+    cost: F,
+    rng: &mut R,
+) -> Option<Route>
+where
+    F: Fn((SwitchId, SwitchId)) -> u64,
+    R: Rng,
+{
     let n = topo.switch_count();
     if src.get() as usize >= n || dst.get() as usize >= n {
         return None;
@@ -129,20 +179,17 @@ where
     if src == dst {
         return Route::new(vec![src]).ok();
     }
-    // Run Dijkstra from dst so dist[] measures distance *to* dst; then
-    // walk forward from src choosing random minimizing next hops. This
-    // randomizes uniformly over next-hop choices at every node.
-    let dist = distances_weighted(topo, dst, |(a, b)| cost((b, a)));
     dist.dist(src)?;
     let mut route = vec![src];
     let mut cur = src;
+    let mut best: Vec<SwitchId> = Vec::new();
     // Walk at most n hops — a correct descent terminates well before.
     for _ in 0..n {
         if cur == dst {
             return Route::new(route).ok();
         }
         let d_cur = dist.dist(cur)?;
-        let mut best: Vec<SwitchId> = Vec::new();
+        best.clear();
         let mut best_cost = u64::MAX;
         for (_, v, _) in topo.neighbors(cur) {
             if let Some(dv) = dist.dist(v) {
