@@ -43,7 +43,8 @@ pub struct Fixtures {
     pub verify_path: Path,
     /// A built path graph for the find-path measurement.
     pub graph: PathGraph,
-    /// The host agent's materialized router over that graph.
+    /// The host's search core over that graph, with its dense index
+    /// built once.
     pub router: PathGraphRouter,
 }
 
@@ -128,8 +129,9 @@ pub fn verify_once(fx: &Fixtures) {
     black_box(trace_tag_path(&fx.topo, fx.src, &fx.verify_path).expect("verifies"));
 }
 
-/// One find-path on the cached subgraph (the host agent keeps the
-/// router materialized, so this is the steady-state cost).
+/// One find-path on the cached subgraph. The router is the search core
+/// the host's `shortest_within`/`k_shortest_within` run on, with its
+/// index built once, so this times the search alone.
 pub fn find_path_once(fx: &mut Fixtures) {
     let down = std::collections::HashSet::new();
     black_box(fx.router.shortest(&down).expect("route exists"));

@@ -13,7 +13,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dumbnet_packet::control::{LinkEvent, PatchBatch, PatchEntry, TopoDelta};
-use dumbnet_packet::PathReplyItem;
 use dumbnet_packet::{ControlMessage, Packet, Payload};
 use dumbnet_sim::{Ctx, Node};
 use dumbnet_telemetry::{Counter, Gauge, Histogram, NodeKind, Telemetry, TraceCategory};
@@ -38,7 +37,13 @@ const T_TAKEOVER: u64 = 3;
 const T_ELECTION: u64 = 4;
 const T_PATCH_FLUSH: u64 = 5;
 const T_PROBATION: u64 = 6;
-const T_REPLY_FLUSH: u64 = 7;
+
+/// Delay before discovery or the bootstrap hello begins, so every node
+/// has started.
+const START_DELAY: SimDuration = SimDuration::from_millis(1);
+
+/// Service time per path-graph query (the Figure 10 tail term).
+const QUERY_SERVICE_TIME: SimDuration = SimDuration::from_micros(50);
 
 /// Flood budget for election traffic sent before any topology is known
 /// (switches relay it hop-limited, like link notifications). Covers the
@@ -164,14 +169,10 @@ pub struct ControllerConfig {
     pub run_discovery: bool,
     /// Pre-known topology (experiments that start converged).
     pub preload: Option<Topology>,
-    /// Delay before discovery/bootstrap begins.
-    pub start_delay: SimDuration,
     /// Pacing between probe transmissions — models the controller CPU,
     /// the bottleneck of §7.2.1 ("the bottleneck of topology discovery
     /// is the packet processing rate of the controller").
     pub probe_interval: SimDuration,
-    /// Service time per path-graph query (the Figure 10 tail term).
-    pub query_service_time: SimDuration,
     /// Path-graph construction parameters.
     pub pathgraph: PathGraphParams,
     /// All controller group members (self included). Empty ⇒ solo.
@@ -198,10 +199,6 @@ pub struct ControllerConfig {
     /// Gray-failure detection: suspicion scoreboard, quarantine floods
     /// and probation release. `None` (the default) disables it.
     pub gray: Option<GrayFaultConfig>,
-    /// Coalesce path replies completing in the same service burst into
-    /// one `PathReplyBatch` frame per requester, instead of the legacy
-    /// per-request `PathReply` frames.
-    pub reply_batch: bool,
 }
 
 impl Default for ControllerConfig {
@@ -210,9 +207,7 @@ impl Default for ControllerConfig {
             discovery: DiscoveryConfig::default(),
             run_discovery: false,
             preload: None,
-            start_delay: SimDuration::from_millis(1),
             probe_interval: SimDuration::from_micros(33),
-            query_service_time: SimDuration::from_micros(50),
             pathgraph: PathGraphParams::default(),
             peers: Vec::new(),
             is_leader: true,
@@ -222,7 +217,6 @@ impl Default for ControllerConfig {
             probe_window: 1,
             patch_batch_max: 32,
             gray: None,
-            reply_batch: false,
         }
     }
 }
@@ -308,8 +302,6 @@ struct ControllerCounters {
     probe_burst_size: Histogram,
     /// Patch entries coalesced per flood round.
     patch_batch_entries: Histogram,
-    /// Path replies coalesced per `PathReplyBatch` frame.
-    reply_batch_size: Histogram,
 }
 
 impl Default for ControllerCounters {
@@ -335,7 +327,6 @@ impl Default for ControllerCounters {
             route_cache_misses: Counter::new(),
             probe_burst_size: Histogram::doubling(1, 8),
             patch_batch_entries: Histogram::doubling(1, 8),
-            reply_batch_size: Histogram::doubling(1, 8),
         }
     }
 }
@@ -376,12 +367,6 @@ impl ControllerCounters {
             node,
             "patch_batch_entries",
             &self.patch_batch_entries,
-        );
-        telemetry.register_histogram(
-            NodeKind::Controller,
-            node,
-            "reply_batch_size",
-            &self.reply_batch_size,
         );
     }
 }
@@ -438,9 +423,6 @@ pub struct Controller {
     /// Followers track this too via replicated deltas, so a promoted
     /// leader inherits the quarantine view.
     quarantined: BTreeSet<(SwitchId, SwitchId)>,
-    /// Path replies awaiting their service completion under
-    /// `reply_batch` coalescing: `(requester, done-at, item)`.
-    pending_replies: Vec<(MacAddr, SimTime, PathReplyItem)>,
     /// Leader lease bookkeeping: when each peer replica was last heard
     /// (acks, sync requests, heartbeat acks). Probation may only mutate
     /// fabric state while a quorum is in recent contact — a partitioned
@@ -504,7 +486,6 @@ impl Controller {
             graph_cache: HashMap::new(),
             gray_board: BTreeMap::new(),
             quarantined: BTreeSet::new(),
-            pending_replies: Vec::new(),
             peer_heard: BTreeMap::new(),
             last_gray_refresh: SimTime::ZERO,
             stats,
@@ -1231,31 +1212,6 @@ impl Controller {
         ctx.set_timer(cfg.probation_interval, T_PROBATION);
     }
 
-    /// Flushes every coalesced path reply whose service time has
-    /// completed, one `PathReplyBatch` frame per requester.
-    fn flush_replies(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        let pending = std::mem::take(&mut self.pending_replies);
-        let mut later = Vec::new();
-        let mut by_host: BTreeMap<MacAddr, Vec<PathReplyItem>> = BTreeMap::new();
-        for (mac, done, item) in pending {
-            if done <= now {
-                by_host.entry(mac).or_default().push(item);
-            } else {
-                later.push((mac, done, item));
-            }
-        }
-        self.pending_replies = later;
-        for (mac, replies) in by_host {
-            let Some(path) = self.path_to(ctx, mac) else {
-                continue;
-            };
-            self.counters.reply_batch_size.observe(replies.len() as u64);
-            let msg = ControlMessage::PathReplyBatch { replies };
-            ctx.send(NIC, Packet::control(mac, self.mac, path, msg));
-        }
-    }
-
     /// Floods every patch entry coalesced since the last flush as one
     /// [`PatchBatch`] epoch (split into `patch_batch_max`-entry segment
     /// frames), to every known host.
@@ -1326,9 +1282,9 @@ impl Controller {
     ) {
         self.counters.path_requests.inc();
         let now = ctx.now();
-        // FIFO service queue: each query costs `query_service_time`.
+        // FIFO service queue: each query costs `QUERY_SERVICE_TIME`.
         let start = self.busy_until.max(now);
-        let done = start + self.config.query_service_time;
+        let done = start + QUERY_SERVICE_TIME;
         self.busy_until = done;
         let delay = done - now;
         let version = self.topo_version;
@@ -1346,21 +1302,6 @@ impl Controller {
                 built
             }
         };
-        if self.config.reply_batch {
-            // Coalesce: the reply rides a shared `PathReplyBatch` frame
-            // with every other reply completing by the same flush.
-            self.pending_replies.push((
-                src,
-                done,
-                PathReplyItem {
-                    request_id,
-                    graph,
-                    topo_version: self.topo_version,
-                },
-            ));
-            ctx.set_timer(delay, T_REPLY_FLUSH);
-            return;
-        }
         let reply = ControlMessage::PathReply {
             request_id,
             graph,
@@ -1781,13 +1722,13 @@ impl Node for Controller {
         self.last_leader_seen = ctx.now();
         if self.config.run_discovery && self.config.is_leader {
             self.discovery = Some(DiscoveryState::new(self.mac, self.config.discovery.clone()));
-            ctx.set_timer(self.config.start_delay, T_PUMP);
+            ctx.set_timer(START_DELAY, T_PUMP);
         } else if let Some(topo) = self.config.preload.take() {
             self.topology = Some(topo);
             self.topo_version = 1;
             if self.config.is_leader {
                 // Delay the hello so every node has started.
-                ctx.set_timer(self.config.start_delay, T_PUMP);
+                ctx.set_timer(START_DELAY, T_PUMP);
             }
         }
         if self.config.is_leader && !self.log.peers().collect::<Vec<_>>().is_empty() {
@@ -1798,7 +1739,7 @@ impl Node for Controller {
             // Standby replicas announce themselves too so hosts can
             // spread path queries over the whole controller group.
             if self.topology.is_some() {
-                ctx.set_timer(self.config.start_delay + self.config.heartbeat, T_PUMP);
+                ctx.set_timer(START_DELAY + self.config.heartbeat, T_PUMP);
             }
         }
         // All replicas keep the probation clock running so a promoted
@@ -1841,9 +1782,6 @@ impl Node for Controller {
             }
             T_PROBATION => {
                 self.probation_tick(ctx);
-            }
-            T_REPLY_FLUSH => {
-                self.flush_replies(ctx);
             }
             T_HEARTBEAT if self.log.role() == ReplicaRole::Leader => {
                 let term = self.log.term();
@@ -1942,9 +1880,6 @@ impl Node for Controller {
         // (post-restart resync re-derives the topology authoritatively).
         self.pending_patch.clear();
         self.patch_flush_armed = false;
-        // Coalesced replies died with their flush timer too; requesters
-        // retry through the normal host-side timeout path.
-        self.pending_replies.clear();
         if let Some(g) = self.config.gray.as_ref() {
             ctx.set_timer(g.probation_interval, T_PROBATION);
         }

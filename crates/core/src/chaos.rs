@@ -491,7 +491,7 @@ mod tests {
 
     /// Redundant flood rounds are the loss countermeasure; the epoch
     /// dedup is what keeps them from amplifying into alarm storms. Cut
-    /// one trunk on a fabric with the default `flood_repeats = 2` and
+    /// one trunk on a fabric where each host repeats its floods twice and
     /// verify every host records each distinct link event exactly once,
     /// even though extra flood rounds demonstrably went out.
     #[test]

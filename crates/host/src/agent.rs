@@ -139,6 +139,18 @@ impl Default for GrayDetectConfig {
     }
 }
 
+/// How long to wait for a PathReply before re-asking the controller
+/// (replies can be lost during partitions).
+const PATH_REQUEST_RETRY: SimDuration = SimDuration::from_millis(50);
+
+/// Extra host-flood rounds per link event. Floods are ack-less, so
+/// redundancy is the only defence against loss; receivers dedup on the
+/// event's `(switch, port, up, seq)` epoch.
+const FLOOD_REPEATS: u32 = 2;
+
+/// Spacing between redundant flood rounds.
+const FLOOD_GAP: SimDuration = SimDuration::from_millis(1);
+
 /// Host agent configuration.
 #[derive(Debug, Clone)]
 pub struct HostAgentConfig {
@@ -148,16 +160,6 @@ pub struct HostAgentConfig {
     /// Extra delay applied to every transmission, modeling the host
     /// stack (see [`crate::datapath`]).
     pub stack_delay: SimDuration,
-    /// How long to wait for a PathReply before re-asking the controller
-    /// (replies can be lost during partitions).
-    pub path_request_retry: SimDuration,
-    /// Extra host-flood rounds per link event. Floods are ack-less, so
-    /// redundancy is the only defence against loss; receivers dedup on
-    /// the event's `(switch, port, up, seq)` epoch. Zero restores
-    /// single-shot flooding.
-    pub flood_repeats: u32,
-    /// Spacing between redundant flood rounds.
-    pub flood_gap: SimDuration,
     /// Gray-failure detection; `None` (the default) disables it.
     pub gray_detect: Option<GrayDetectConfig>,
     /// Scheduled application actions.
@@ -169,9 +171,6 @@ impl Default for HostAgentConfig {
         HostAgentConfig {
             k_paths: 4,
             stack_delay: SimDuration::ZERO,
-            path_request_retry: SimDuration::from_millis(50),
-            flood_repeats: 2,
-            flood_gap: SimDuration::from_millis(1),
             gray_detect: None,
             actions: Vec::new(),
         }
@@ -567,13 +566,12 @@ impl HostAgent {
         // One outstanding request per destination — but retry requests
         // whose replies are overdue (lost during failures).
         let now = ctx.now();
-        let retry = self.config.path_request_retry;
         let mut fresh_exists = false;
         self.outstanding.retain(|_, &mut (d, at)| {
             if d != dst {
                 return true;
             }
-            if now - at < retry {
+            if now - at < PATH_REQUEST_RETRY {
                 fresh_exists = true;
                 true
             } else {
@@ -614,7 +612,7 @@ impl HostAgent {
     fn arm_retry(&mut self, ctx: &mut Ctx<'_>) {
         if !self.retry_armed && !self.pending.is_empty() {
             self.retry_armed = true;
-            ctx.set_timer(self.config.path_request_retry, Self::RETRY_TOKEN);
+            ctx.set_timer(PATH_REQUEST_RETRY, Self::RETRY_TOKEN);
         }
     }
 
@@ -694,10 +692,8 @@ impl HostAgent {
             // Floods are ack-less; schedule redundant rounds so a lossy
             // fabric still gets the word out. Receivers (and we) dedup
             // on the event's sequence epoch.
-            if self.config.flood_repeats > 0 {
-                self.flood_backlog.push((event, self.config.flood_repeats));
-                self.arm_flood(ctx);
-            }
+            self.flood_backlog.push((event, FLOOD_REPEATS));
+            self.arm_flood(ctx);
         }
     }
 
@@ -749,7 +745,7 @@ impl HostAgent {
     fn arm_flood(&mut self, ctx: &mut Ctx<'_>) {
         if !self.flood_armed && !self.flood_backlog.is_empty() {
             self.flood_armed = true;
-            ctx.set_timer(self.config.flood_gap, Self::FLOOD_TOKEN);
+            ctx.set_timer(FLOOD_GAP, Self::FLOOD_TOKEN);
         }
     }
 
@@ -1154,27 +1150,6 @@ impl HostAgent {
         self.counters.patch_batch_entries.observe(applied);
     }
 
-    /// Integrates one controller path answer (standalone or batched).
-    fn handle_path_reply(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        request_id: u64,
-        graph: Option<Box<dumbnet_topology::PathGraph>>,
-        topo_version: u64,
-    ) {
-        let Some((dst, _)) = self.outstanding.remove(&request_id) else {
-            return;
-        };
-        if let Some(graph) = graph {
-            self.topocache.integrate(dst, *graph, topo_version);
-            if let Some((paths, backup)) = self.topocache.k_paths(dst, self.config.k_paths) {
-                self.pathtable.install(dst, paths, backup);
-                self.drop_health(dst);
-            }
-        }
-        self.flush_pending(ctx, dst);
-    }
-
     fn handle_control(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1205,15 +1180,18 @@ impl HostAgent {
                 graph,
                 topo_version,
             } => {
-                self.handle_path_reply(ctx, request_id, graph, topo_version);
-            }
-            ControlMessage::PathReplyBatch { replies } => {
-                // One batched frame per request burst (ROADMAP item 3
-                // follow-up): each item is handled exactly like a
-                // standalone PathReply.
-                for item in replies {
-                    self.handle_path_reply(ctx, item.request_id, item.graph, item.topo_version);
+                let Some((dst, _)) = self.outstanding.remove(&request_id) else {
+                    return;
+                };
+                if let Some(graph) = graph {
+                    self.topocache.integrate(dst, *graph, topo_version);
+                    if let Some((paths, backup)) = self.topocache.k_paths(dst, self.config.k_paths)
+                    {
+                        self.pathtable.install(dst, paths, backup);
+                        self.drop_health(dst);
+                    }
                 }
+                self.flush_pending(ctx, dst);
             }
             ControlMessage::PathProbe { origin, probe_id } => {
                 // Gray-failure probe responder: answer over our own
@@ -1246,16 +1224,6 @@ impl HostAgent {
             }
             ControlMessage::HostFlood { event, .. } => {
                 self.handle_link_event(ctx, event, true);
-            }
-            ControlMessage::TopologyPatch {
-                version,
-                delta,
-                term,
-            } => {
-                // The legacy per-entry patch is, by definition, a
-                // complete single-entry batch (the singleton equivalence
-                // law the codec property tests pin).
-                self.handle_patch_batch(ctx, PatchBatch::singleton(version, *delta, term));
             }
             ControlMessage::TopologyPatchBatch(batch) => {
                 self.handle_patch_batch(ctx, batch);

@@ -1,7 +1,7 @@
 //! Regression tests for the host-side coalescing writer (DESIGN.md §9).
 //!
 //! The central bug these pin: before monotone-epoch acceptance, a stale
-//! `TopologyPatch` arriving *after* a newer one (redundant flood rounds
+//! patch arriving *after* a newer one (redundant flood rounds
 //! plus jitter reorder) was applied anyway and clobbered the newer
 //! table — a link the controller had already reported healthy stayed
 //! marked down on the host forever. The tests drive the exact reorder
@@ -63,6 +63,13 @@ impl Rig {
         );
     }
 
+    /// Injects a complete one-entry patch batch taking the table to
+    /// `version`.
+    fn inject_patch(&mut self, at: SimTime, version: u64, delta: TopoDelta, term: u64) {
+        let batch = PatchBatch::singleton(version, delta, term);
+        self.inject(at, ControlMessage::TopologyPatchBatch(batch));
+    }
+
     fn agent(&self) -> &HostAgent {
         self.world.node::<HostAgent>(self.addr).expect("agent")
     }
@@ -82,22 +89,8 @@ fn stale_patch_after_newer_is_dropped() {
     rig.agent_mut()
         .topocache
         .mark_down(SwitchId(4), SwitchId(7));
-    rig.inject(
-        at_us(100),
-        ControlMessage::TopologyPatch {
-            version: 3,
-            delta: Box::new(up(4, 7)),
-            term: 1,
-        },
-    );
-    rig.inject(
-        at_us(200),
-        ControlMessage::TopologyPatch {
-            version: 2,
-            delta: Box::new(down(4, 7)),
-            term: 1,
-        },
-    );
+    rig.inject_patch(at_us(100), 3, up(4, 7), 1);
+    rig.inject_patch(at_us(200), 2, down(4, 7), 1);
     rig.world.run_until(at_us(500));
     let agent = rig.agent();
     // Before the fix the stale v2 re-marked the edge down and bumped
@@ -127,49 +120,13 @@ fn duplicate_flood_round_is_dropped() {
     // Redundant flood rounds deliver the same version twice; the second
     // copy must be a counted no-op.
     let mut rig = Rig::new();
-    let patch = ControlMessage::TopologyPatch {
-        version: 2,
-        delta: Box::new(down(1, 2)),
-        term: 1,
-    };
-    rig.inject(at_us(100), patch.clone());
-    rig.inject(at_us(150), patch);
+    rig.inject_patch(at_us(100), 2, down(1, 2), 1);
+    rig.inject_patch(at_us(150), 2, down(1, 2), 1);
     rig.world.run_until(at_us(500));
     let stats = rig.agent().stats();
     assert_eq!(stats.patch_batches_applied, 1);
     assert_eq!(stats.stale_patch_dropped, 1);
     assert_eq!(rig.agent().topocache.topo_version, 2);
-}
-
-#[test]
-fn singleton_batch_equals_legacy_patch() {
-    // The equivalence law: a host must end in the same state whether the
-    // controller sent the legacy per-entry frame or the one-entry batch.
-    let run = |legacy: bool| {
-        let mut rig = Rig::new();
-        let delta = down(2, 9);
-        let msg = if legacy {
-            ControlMessage::TopologyPatch {
-                version: 4,
-                delta: Box::new(delta),
-                term: 2,
-            }
-        } else {
-            ControlMessage::TopologyPatchBatch(PatchBatch::singleton(4, delta, 2))
-        };
-        rig.inject(at_us(100), msg);
-        rig.world.run_until(at_us(500));
-        let agent = rig.agent();
-        let stats = agent.stats();
-        (
-            agent.topocache.topo_version,
-            agent.topocache.down_edges().clone(),
-            stats.patch_arrivals.clone(),
-            stats.patch_batches_applied,
-            stats.stale_patch_dropped,
-        )
-    };
-    assert_eq!(run(true), run(false));
 }
 
 #[test]
@@ -270,14 +227,8 @@ fn batch_from_fenced_stale_leader_is_dropped() {
     // controller update: a batch stamped with a lower term than the
     // highest seen is from a fenced leader and must not touch the table.
     let mut rig = Rig::new();
-    rig.inject(
-        at_us(100),
-        ControlMessage::TopologyPatchBatch(PatchBatch::singleton(2, down(1, 2), 5)),
-    );
-    rig.inject(
-        at_us(200),
-        ControlMessage::TopologyPatchBatch(PatchBatch::singleton(9, down(3, 4), 3)),
-    );
+    rig.inject_patch(at_us(100), 2, down(1, 2), 5);
+    rig.inject_patch(at_us(200), 9, down(3, 4), 3);
     rig.world.run_until(at_us(500));
     let agent = rig.agent();
     assert_eq!(agent.topocache.topo_version, 2);
@@ -292,14 +243,7 @@ fn entries_at_or_below_table_version_are_skipped_within_a_batch() {
     // resurrect a link a later, already-applied version took down.
     let mut rig = Rig::new();
     // The host is at version 2: edge (4,7) went down at v2.
-    rig.inject(
-        at_us(100),
-        ControlMessage::TopologyPatch {
-            version: 2,
-            delta: Box::new(down(4, 7)),
-            term: 1,
-        },
-    );
+    rig.inject_patch(at_us(100), 2, down(4, 7), 1);
     // Epoch-4 batch replays v1 (edge up — stale) plus v3, v4.
     rig.inject(
         at_us(200),

@@ -12,7 +12,7 @@
 //! * Failure handling (§4.2): [`ControlMessage::LinkNotification`]
 //!   (switch-originated, hop-limited broadcast),
 //!   [`ControlMessage::HostFlood`] (host-to-host flooding),
-//!   [`ControlMessage::TopologyPatch`] (controller stage-2 flood).
+//!   [`ControlMessage::TopologyPatchBatch`] (controller stage-2 flood).
 //! * Path service (§4.3, §5.2): [`ControlMessage::PathRequest`] /
 //!   [`ControlMessage::PathReply`].
 //! * Controller replication: [`ControlMessage::ReplAppend`] /
@@ -87,7 +87,7 @@ const PATCH_BATCH_WIRE_V1: u8 = 0x01;
 /// Version byte of the quarantine-aware batched-patch encoding: each
 /// entry carries two extra item counts (quarantine / unquarantine
 /// pairs). Emitted only when a batch actually carries quarantine state,
-/// so legacy batches stay byte-identical to V1.
+/// so quarantine-free batches stay byte-identical to V1.
 const PATCH_BATCH_WIRE_V2: u8 = 0x02;
 
 /// Fixed header bytes of the batched-patch encoding: format byte, epoch,
@@ -119,8 +119,9 @@ pub struct PatchBatch {
     /// (all segments). Receivers with a table at or past `epoch` drop the
     /// batch as stale.
     pub epoch: u64,
-    /// Leadership term of the flooding controller (same fencing rules as
-    /// [`ControlMessage::TopologyPatch`]).
+    /// Leadership term of the flooding controller. Hosts discard
+    /// batches from a fenced stale leader (lower term than the highest
+    /// they have seen).
     pub term: u64,
     /// Zero-based index of this segment frame.
     pub seg: u16,
@@ -131,10 +132,8 @@ pub struct PatchBatch {
 }
 
 impl PatchBatch {
-    /// Wraps a single legacy-style patch as a one-segment, one-entry
-    /// batch. The equivalence law (enforced by property tests and the
-    /// host agent): a receiver treats `singleton(v, d, t)` exactly like
-    /// `TopologyPatch { version: v, delta: d, term: t }`.
+    /// A one-segment batch carrying the single delta that takes the
+    /// topology to `version`.
     #[must_use]
     pub fn singleton(version: u64, delta: TopoDelta, term: u64) -> PatchBatch {
         PatchBatch {
@@ -143,18 +142,6 @@ impl PatchBatch {
             seg: 0,
             segs: 1,
             entries: vec![PatchEntry { version, delta }],
-        }
-    }
-
-    /// The legacy triple this batch is equivalent to, when it is a
-    /// complete single-entry batch.
-    #[must_use]
-    pub fn as_singleton(&self) -> Option<(u64, &TopoDelta, u64)> {
-        match self.entries.as_slice() {
-            [e] if self.segs == 1 && self.seg == 0 && e.version == self.epoch => {
-                Some((e.version, &e.delta, self.term))
-            }
-            _ => None,
         }
     }
 
@@ -344,30 +331,6 @@ impl PatchBatch {
     }
 }
 
-/// One coalesced path answer inside a [`ControlMessage::PathReplyBatch`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PathReplyItem {
-    /// Echo of the request's correlation ID.
-    pub request_id: u64,
-    /// The cached subgraph, if the destination exists.
-    pub graph: Option<Box<PathGraph>>,
-    /// Topology version the graph was computed against.
-    pub topo_version: u64,
-}
-
-impl PathReplyItem {
-    /// Approximate serialized size (same accounting as
-    /// [`ControlMessage::PathReply`], minus the discriminant).
-    #[must_use]
-    pub fn wire_size(&self) -> usize {
-        8 + 8
-            + self
-                .graph
-                .as_ref()
-                .map_or(0, |g| 32 + g.edge_count() * 12 + g.switch_count() * 8)
-    }
-}
-
 /// Per-port transmit counters carried by a statistics reply (§8: soft
 /// state only — counters, no forwarding state).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -450,14 +413,6 @@ pub enum ControlMessage {
         /// Topology version the graph was computed against.
         topo_version: u64,
     },
-    /// The controller's batched answer to a burst of path requests from
-    /// one host: every graph computed in the service window rides in a
-    /// single frame (ROADMAP item 3 follow-up), amortising per-frame
-    /// overheads exactly like [`ControlMessage::TopologyPatchBatch`].
-    PathReplyBatch {
-        /// The coalesced replies, in request order.
-        replies: Vec<PathReplyItem>,
-    },
     /// Host-originated lightweight probe sent along one specific cached
     /// path to measure that path's health (gray-failure detection). The
     /// responder answers with [`ControlMessage::PathProbeReply`] over
@@ -496,23 +451,9 @@ pub enum ControlMessage {
         /// Per-reporter sequence number for duplicate suppression.
         seq: u64,
     },
-    /// Controller stage-2 flood: authoritative topology changes.
-    TopologyPatch {
-        /// Monotonic topology version after applying the delta.
-        version: u64,
-        /// The changes (boxed: deltas ride in every packet-sized enum
-        /// slot, and the fat variants would otherwise double the memcpy
-        /// bill of the probe-dominated hot path).
-        delta: Box<TopoDelta>,
-        /// Leadership term of the flooding controller. Hosts discard
-        /// patches from a fenced stale leader (lower term than the
-        /// highest they have seen).
-        term: u64,
-    },
-    /// Controller stage-2 flood, batched: many versioned deltas under one
-    /// epoch header, possibly split across segment frames. Replaces the
-    /// per-entry [`ControlMessage::TopologyPatch`] on the controller's
-    /// flood path; receivers coalesce segments and apply the batch
+    /// Controller stage-2 flood: authoritative topology changes, many
+    /// versioned deltas under one epoch header, possibly split across
+    /// segment frames. Receivers coalesce segments and apply the batch
     /// atomically at the epoch boundary.
     TopologyPatchBatch(PatchBatch),
     /// Bootstrap message from the controller to a host: "you exist, here
@@ -540,8 +481,9 @@ pub enum ControlMessage {
         index: u64,
         /// Topology version after this entry.
         version: u64,
-        /// The change being replicated (boxed, as in
-        /// [`ControlMessage::TopologyPatch`]).
+        /// The change being replicated (boxed: deltas ride in every
+        /// packet-sized enum slot, and the fat variant would otherwise
+        /// double the memcpy bill of the probe-dominated hot path).
         delta: Box<TopoDelta>,
         /// The leader's identity.
         leader: MacAddr,
@@ -694,17 +636,7 @@ impl ControlMessage {
                         .as_ref()
                         .map_or(0, |g| 32 + g.edge_count() * 12 + g.switch_count() * 8)
             }
-            ControlMessage::TopologyPatch { delta, .. } => {
-                1 + 8
-                    + 8
-                    + delta.down.len() * 16
-                    + delta.up.len() * 18
-                    + (delta.quarantine.len() + delta.unquarantine.len()) * 16
-            }
             ControlMessage::TopologyPatchBatch(batch) => 1 + batch.wire_len(),
-            ControlMessage::PathReplyBatch { replies } => {
-                1 + 2 + replies.iter().map(PathReplyItem::wire_size).sum::<usize>()
-            }
             ControlMessage::PathProbe { .. } | ControlMessage::PathProbeReply { .. } => 1 + 6 + 8,
             ControlMessage::LinkSuspect { .. } => 1 + 6 + 16 + 2 + 4 + 1 + 8,
             ControlMessage::ControllerHello {
@@ -853,9 +785,9 @@ mod tests {
 
     #[test]
     fn quarantine_batches_use_v2_and_round_trip() {
-        // Legacy batches keep the V1 format byte — byte-for-byte stable.
-        let legacy = sample_batch();
-        assert_eq!(legacy.to_wire()[0], 0x01);
+        // Quarantine-free batches keep the V1 format byte.
+        let plain = sample_batch();
+        assert_eq!(plain.to_wire()[0], 0x01);
 
         let gray = PatchBatch {
             epoch: 9,
@@ -902,29 +834,5 @@ mod tests {
             probe_id: 7,
         };
         assert_eq!(probe.wire_size(), reply.wire_size());
-        // A reply batch charges the sum of its items plus framing.
-        let item = PathReplyItem {
-            request_id: 1,
-            graph: None,
-            topo_version: 5,
-        };
-        let batch = ControlMessage::PathReplyBatch {
-            replies: vec![item.clone(), item.clone()],
-        };
-        assert_eq!(batch.wire_size(), 1 + 2 + 2 * item.wire_size());
-    }
-
-    #[test]
-    fn singleton_batch_matches_legacy_patch() {
-        let delta = TopoDelta {
-            down: vec![(SwitchId(4), SwitchId(5))],
-            ..TopoDelta::default()
-        };
-        let batch = PatchBatch::singleton(9, delta.clone(), 2);
-        let (version, d, term) = batch.as_singleton().unwrap();
-        assert_eq!((version, term), (9, 2));
-        assert_eq!(d, &delta);
-        // Multi-entry or multi-segment batches are not singletons.
-        assert!(sample_batch().as_singleton().is_none());
     }
 }

@@ -13,9 +13,7 @@ use std::collections::{BTreeSet, BinaryHeap, HashSet};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use dumbnet_types::{
-    DumbNetError, FastHashSet, HostId, MacAddr, Path, PortId, PortNo, Result, SwitchId,
-};
+use dumbnet_types::{DumbNetError, FastHashSet, HostId, MacAddr, Path, PortId, Result, SwitchId};
 
 use crate::graph::Topology;
 use crate::route::Route;
@@ -239,10 +237,7 @@ impl PathGraph {
     /// controller, when a primary link dies.
     #[must_use]
     pub fn shortest_within(&self, down: &HashSet<(SwitchId, SwitchId)>) -> Option<Route> {
-        let g = DenseGraph::new(self, down);
-        let mut search = Search::new(&g);
-        let route = search.run(&g, g.src, g.dst)?;
-        Some(g.route(&route))
+        self.router().shortest(down)
     }
 
     /// Up to `k` shortest loopless routes within the subgraph, avoiding
@@ -252,8 +247,11 @@ impl PathGraph {
         if k == 0 {
             return Vec::new();
         }
-        let g = DenseGraph::new(self, down);
-        let mut search = Search::new(&g);
+        let PathGraphRouter {
+            graph: g,
+            mut search,
+        } = self.router();
+        search.set_down(&g, down);
         let Some(first) = search.run(&g, g.src, g.dst) else {
             return Vec::new();
         };
@@ -268,7 +266,8 @@ impl PathGraph {
             for spur_ix in 0..last.len().saturating_sub(1) {
                 let root = &last[..=spur_ix];
                 // Ban edges used by already-found routes sharing this root,
-                // and nodes of the root prefix, then reroute.
+                // and nodes of the root prefix, then reroute. Down pairs
+                // stay banned.
                 search.reset_bans();
                 for r in results.iter().chain(candidates.iter().map(|c| &c.0 .1)) {
                     if r.len() > spur_ix && r[..=spur_ix] == *root {
@@ -357,42 +356,25 @@ impl PathGraph {
         self.edges.len() != before
     }
 
-    /// Materializes a reusable router over this subgraph — the form the
-    /// host agent keeps hot, with dense indices and preallocated scratch
-    /// space so repeated find-path calls avoid rebuilding adjacency
-    /// (Table 2's "Find Path" operation).
+    /// Indexes this subgraph once for repeated find-path calls (Table
+    /// 2's "Find Path" operation). [`PathGraph::shortest_within`] and
+    /// [`PathGraph::k_shortest_within`] run on the same index and search.
     #[must_use]
     pub fn router(&self) -> PathGraphRouter {
-        let mut nodes: Vec<SwitchId> = self.switches.iter().copied().collect();
-        nodes.sort();
-        let index = |s: SwitchId| nodes.binary_search(&s).ok();
-        let mut adj: Vec<Vec<(PortNo, u32)>> = vec![Vec::new(); nodes.len()];
-        for e in &self.edges {
-            if let (Some(a), Some(b)) = (index(e.a.switch), index(e.b.switch)) {
-                adj[a].push((e.a.port, b as u32));
-                adj[b].push((e.b.port, a as u32));
-            }
-        }
-        let n = nodes.len();
-        PathGraphRouter {
-            nodes,
-            adj,
-            src: self.src.attach.switch,
-            dst: self.dst.attach.switch,
-            dist: vec![u32::MAX; n],
-            prev: vec![u32::MAX; n],
-            queue: std::collections::VecDeque::with_capacity(n),
-        }
+        let graph = DenseGraph::new(self);
+        let search = Search::new(&graph);
+        PathGraphRouter { graph, search }
     }
 }
 
-/// A path graph on dense indices, built once per host-side query.
+/// A path graph on dense indices, built once per router.
 ///
 /// Nodes are sorted by [`SwitchId`], so index order is ID order. The CSR
-/// adjacency keeps `edges` order and leaves `down` edges out. Each entry
-/// carries the id of its normalized switch pair: parallel links share
-/// one id, so banning a pair bans all of them, as a ban keyed by switch
-/// pair does.
+/// adjacency keeps `edges` order. Each entry carries the id of its
+/// normalized switch pair: parallel links share one id, so banning a
+/// pair bans all of them, as a ban keyed by switch pair does. Down
+/// edges stay in the index and are banned by pair at search time.
+#[derive(Debug, Clone)]
 struct DenseGraph {
     nodes: Vec<SwitchId>,
     /// `adj[offsets[u]..offsets[u + 1]]` are node `u`'s entries.
@@ -405,7 +387,7 @@ struct DenseGraph {
 }
 
 impl DenseGraph {
-    fn new(g: &PathGraph, down: &HashSet<(SwitchId, SwitchId)>) -> DenseGraph {
+    fn new(g: &PathGraph) -> DenseGraph {
         let (src, dst) = (g.src.attach.switch, g.dst.attach.switch);
         let mut nodes: Vec<SwitchId> = g.switches.iter().copied().collect();
         // A graph from `build` lists every endpoint in `switches`; one
@@ -421,15 +403,14 @@ impl DenseGraph {
             nodes.dedup();
         }
         let index = |s: SwitchId| nodes.binary_search(&s).expect("every endpoint indexed") as u32;
-        let live: Vec<(usize, usize)> = g
+        let ends: Vec<(usize, usize)> = g
             .edges
             .iter()
-            .filter(|e| down.is_empty() || !down.contains(&e.key()))
             .map(|e| (index(e.a.switch) as usize, index(e.b.switch) as usize))
             .collect();
         let n = nodes.len();
         let mut offsets = vec![0usize; n + 1];
-        for &(a, b) in &live {
+        for &(a, b) in &ends {
             offsets[a + 1] += 1;
             offsets[b + 1] += 1;
         }
@@ -439,7 +420,7 @@ impl DenseGraph {
         let mut fill = offsets.clone();
         let mut adj = vec![(0u32, 0u32); offsets[n]];
         let mut pairs = 0u32;
-        for &(a, b) in &live {
+        for &(a, b) in &ends {
             // An earlier parallel link already left `(b, pair)` in a's list.
             let pair = match adj[offsets[a]..fill[a]]
                 .iter()
@@ -470,18 +451,29 @@ impl DenseGraph {
         &self.adj[self.offsets[u as usize]..self.offsets[u as usize + 1]]
     }
 
+    /// The pair id of the links between `u` and `v`, if any.
+    fn pair(&self, u: u32, v: u32) -> Option<u32> {
+        self.neighbors(u)
+            .iter()
+            .find_map(|&(w, pair)| (w == v).then_some(pair))
+    }
+
     fn route(&self, route: &[u32]) -> Route {
         Route::new(route.iter().map(|&i| self.nodes[i as usize]).collect())
             .expect("searches never repeat a switch")
     }
 }
 
-/// Scratch state for hop-count searches over one [`DenseGraph`], with
-/// the pair and node bans of Yen's spur searches.
+/// Scratch state for hop-count searches over one [`DenseGraph`]: the
+/// down pairs, and on top of them the pair and node bans of Yen's spur
+/// searches.
+#[derive(Debug, Clone)]
 struct Search {
-    dist: Vec<u32>,
+    /// Predecessor on the search tree; `u32::MAX` = not reached.
     prev: Vec<u32>,
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    frontier: Vec<u32>,
+    next: Vec<u32>,
+    down_pairs: Vec<bool>,
     banned_pairs: Vec<bool>,
     banned_nodes: Vec<bool>,
 }
@@ -490,22 +482,38 @@ impl Search {
     fn new(g: &DenseGraph) -> Search {
         let n = g.nodes.len();
         Search {
-            dist: vec![u32::MAX; n],
             prev: vec![u32::MAX; n],
-            heap: BinaryHeap::new(),
+            frontier: Vec::with_capacity(n),
+            next: Vec::with_capacity(n),
+            down_pairs: vec![false; g.pairs],
             banned_pairs: vec![false; g.pairs],
             banned_nodes: vec![false; n],
         }
     }
 
+    /// Marks `down` switch pairs as unusable and clears every other ban.
+    fn set_down(&mut self, g: &DenseGraph, down: &HashSet<(SwitchId, SwitchId)>) {
+        self.down_pairs.fill(false);
+        for &(a, b) in down {
+            let (Ok(u), Ok(v)) = (g.nodes.binary_search(&a), g.nodes.binary_search(&b)) else {
+                continue;
+            };
+            if let Some(pair) = g.pair(u as u32, v as u32) {
+                self.down_pairs[pair as usize] = true;
+            }
+        }
+        self.reset_bans();
+    }
+
+    /// Drops Yen's bans, keeping the down pairs banned.
     fn reset_bans(&mut self) {
-        self.banned_pairs.fill(false);
+        self.banned_pairs.copy_from_slice(&self.down_pairs);
         self.banned_nodes.fill(false);
     }
 
-    /// Bans every live link between `u` and `v`.
+    /// Bans every link between `u` and `v`.
     fn ban_pair(&mut self, g: &DenseGraph, u: u32, v: u32) {
-        if let Some(&(_, pair)) = g.neighbors(u).iter().find(|&&(w, _)| w == v) {
+        if let Some(pair) = g.pair(u, v) {
             self.banned_pairs[pair as usize] = true;
         }
     }
@@ -517,45 +525,54 @@ impl Search {
 
     /// Shortest hop-count route from `src` to `dst` over unbanned links.
     ///
-    /// Dijkstra popping `(dist, index)` and relaxing with strict `<`:
-    /// index order is switch-ID order, so this pops and breaks ties
-    /// exactly as a search keyed by `(dist, SwitchId)` does.
+    /// A level-synchronous BFS: every node at distance `d` is queued
+    /// before any is expanded, and each level is expanded in ascending
+    /// index order. Index order is switch-ID order, so a node's
+    /// predecessor is the one a Dijkstra popping `(dist, SwitchId)` and
+    /// relaxing with strict `<` picks (DESIGN.md §3.4, rule 4).
     fn run(&mut self, g: &DenseGraph, src: u32, dst: u32) -> Option<Vec<u32>> {
         if src == dst {
             return Some(vec![src]);
         }
-        self.dist.fill(u32::MAX);
-        self.heap.clear();
-        self.dist[src as usize] = 0;
-        self.heap.push(Reverse((0, src)));
-        while let Some(Reverse((d, u))) = self.heap.pop() {
-            if d > self.dist[u as usize] {
-                continue;
-            }
-            if u == dst {
-                break;
-            }
-            if self.banned_nodes[u as usize] {
-                continue;
-            }
-            for &(v, pair) in g.neighbors(u) {
-                if self.banned_pairs[pair as usize] || self.banned_nodes[v as usize] {
-                    continue;
+        let Search {
+            prev,
+            frontier,
+            next,
+            banned_pairs,
+            banned_nodes,
+            ..
+        } = self;
+        prev.fill(u32::MAX);
+        prev[src as usize] = src;
+        frontier.clear();
+        frontier.push(src);
+        'levels: while !frontier.is_empty() {
+            next.clear();
+            for &u in frontier.iter() {
+                for &(v, pair) in g.neighbors(u) {
+                    if prev[v as usize] != u32::MAX
+                        || banned_pairs[pair as usize]
+                        || banned_nodes[v as usize]
+                    {
+                        continue;
+                    }
+                    prev[v as usize] = u;
+                    if v == dst {
+                        break 'levels;
+                    }
+                    next.push(v);
                 }
-                if d + 1 < self.dist[v as usize] {
-                    self.dist[v as usize] = d + 1;
-                    self.prev[v as usize] = u;
-                    self.heap.push(Reverse((d + 1, v)));
-                }
             }
+            next.sort_unstable();
+            std::mem::swap(frontier, next);
         }
-        if self.dist[dst as usize] == u32::MAX {
+        if prev[dst as usize] == u32::MAX {
             return None;
         }
         let mut route = vec![dst];
         let mut cur = dst;
         while cur != src {
-            cur = self.prev[cur as usize];
+            cur = prev[cur as usize];
             route.push(cur);
         }
         route.reverse();
@@ -563,67 +580,25 @@ impl Search {
     }
 }
 
-/// A reusable, allocation-free find-path engine over one cached path
-/// graph (see [`PathGraph::router`]).
+/// A reusable find-path engine over one cached path graph (see
+/// [`PathGraph::router`]): the dense index is built once, and each call
+/// reuses the search's scratch space.
 #[derive(Debug, Clone)]
 pub struct PathGraphRouter {
-    nodes: Vec<SwitchId>,
-    adj: Vec<Vec<(PortNo, u32)>>,
-    src: SwitchId,
-    dst: SwitchId,
-    dist: Vec<u32>,
-    prev: Vec<u32>,
-    queue: std::collections::VecDeque<u32>,
+    graph: DenseGraph,
+    search: Search,
 }
 
 impl PathGraphRouter {
     /// Finds the shortest route from the cached source switch to the
-    /// cached destination switch, avoiding `down` edges. Hop costs are
-    /// uniform, so a BFS over the dense adjacency suffices.
+    /// cached destination switch, avoiding `down` edges. Gives the same
+    /// route as [`PathGraph::shortest_within`].
     #[must_use]
     pub fn shortest(&mut self, down: &HashSet<(SwitchId, SwitchId)>) -> Option<Route> {
-        let src = self.nodes.binary_search(&self.src).ok()? as u32;
-        let dst = self.nodes.binary_search(&self.dst).ok()? as u32;
-        if src == dst {
-            return Route::new(vec![self.src]).ok();
-        }
-        self.dist.fill(u32::MAX);
-        self.queue.clear();
-        self.dist[src as usize] = 0;
-        self.queue.push_back(src);
-        while let Some(u) = self.queue.pop_front() {
-            if u == dst {
-                break;
-            }
-            let du = self.dist[u as usize];
-            for k in 0..self.adj[u as usize].len() {
-                let (_, v) = self.adj[u as usize][k];
-                if self.dist[v as usize] != u32::MAX {
-                    continue;
-                }
-                if !down.is_empty() {
-                    let (a, b) = (self.nodes[u as usize], self.nodes[v as usize]);
-                    let key = if a <= b { (a, b) } else { (b, a) };
-                    if down.contains(&key) {
-                        continue;
-                    }
-                }
-                self.dist[v as usize] = du + 1;
-                self.prev[v as usize] = u;
-                self.queue.push_back(v);
-            }
-        }
-        if self.dist[dst as usize] == u32::MAX {
-            return None;
-        }
-        let mut route = vec![self.nodes[dst as usize]];
-        let mut cur = dst;
-        while cur != src {
-            cur = self.prev[cur as usize];
-            route.push(self.nodes[cur as usize]);
-        }
-        route.reverse();
-        Route::new(route).ok()
+        let g = &self.graph;
+        self.search.set_down(g, down);
+        let route = self.search.run(g, g.src, g.dst)?;
+        Some(g.route(&route))
     }
 }
 
@@ -761,32 +736,6 @@ mod tests {
             build(&t, ha, hb, &PathGraphParams::default(), &mut rng),
             Err(DumbNetError::NoRoute { .. })
         ));
-    }
-
-    #[test]
-    fn router_agrees_with_shortest_within() {
-        let g = generators::testbed();
-        let mut rng = StdRng::seed_from_u64(31);
-        let pg = build(&g.topology, HostId(0), HostId(26), &params(2, 2), &mut rng).unwrap();
-        let mut router = pg.router();
-        let none = HashSet::new();
-        let a = pg.shortest_within(&none).unwrap();
-        let b = router.shortest(&none).unwrap();
-        assert_eq!(a.link_hops(), b.link_hops());
-        // With the primary's first edge down, both engines detour.
-        let p = pg.primary.switches();
-        let key = if p[0] <= p[1] {
-            (p[0], p[1])
-        } else {
-            (p[1], p[0])
-        };
-        let down: HashSet<_> = [key].into_iter().collect();
-        let a = pg.shortest_within(&down).unwrap();
-        let b = router.shortest(&down).unwrap();
-        assert_eq!(a.link_hops(), b.link_hops());
-        assert!(b.is_valid_in(&g.topology));
-        // Reusable: a second query still works.
-        assert!(router.shortest(&none).is_some());
     }
 
     /// Two parallel links between one switch pair, a loopback cable,
@@ -939,6 +888,48 @@ mod tests {
                 pg.k_shortest_within(6, &down),
                 reference::k_shortest_within(&pg, 6, &down)
             );
+        }
+    }
+
+    #[test]
+    fn router_agrees_with_shortest_within() {
+        // One router per graph, reused across down sets: every answer
+        // must equal the one-shot search's, whatever the previous call
+        // banned.
+        let mut rng = StdRng::seed_from_u64(53);
+        for (name, topo) in fixtures() {
+            let hosts = topo.host_count() as u64;
+            for round in 0..20 {
+                let t = if round % 2 == 0 {
+                    topo.clone()
+                } else {
+                    with_links_down(&topo, 0.15, &mut rng)
+                };
+                let (a, b) = (
+                    HostId(rng.gen_range(0..hosts)),
+                    HostId(rng.gen_range(0..hosts)),
+                );
+                let prm = params(rng.gen_range(1..=3), rng.gen_range(0..=2));
+                let Ok(pg) = build(&t, a, b, &prm, &mut rng) else {
+                    continue;
+                };
+                let mut router = pg.router();
+                let mut downs = vec![HashSet::new()];
+                downs.extend((0..4).map(|_| random_down(&pg, 3, &mut rng)));
+                downs.push(HashSet::new());
+                for down in &downs {
+                    let want = pg.shortest_within(down);
+                    assert_eq!(router.shortest(down), want, "{name} {a}->{b} down {down:?}");
+                    assert_eq!(
+                        want,
+                        reference::shortest_within(&pg, down),
+                        "{name} {a}->{b} down {down:?}"
+                    );
+                    if let Some(r) = &want {
+                        assert!(r.is_valid_in(&t), "{name} {a}->{b}: {r:?}");
+                    }
+                }
+            }
         }
     }
 
